@@ -5,19 +5,25 @@
 //! process listening on its own ephemeral port, plus the in-process
 //! [`crate::router`] front-end that consistent-hashes digests across
 //! them. This module owns the part between: the [`ShardSet`] health
-//! registry both sides share, and the [`Supervisor`] that spawns the
-//! children, scrapes their `listening on <addr>` banners, notices when
-//! one dies (crash, SIGKILL, injected `kill` fault) and restarts it
-//! with exponential backoff.
+//! registry, and the [`Supervisor`] that spawns the children, scrapes
+//! their `listening on <addr>` banners, notices when one dies (crash,
+//! SIGKILL, injected `kill` fault) and restarts it with exponential
+//! backoff.
 //!
-//! Health states form a small machine:
+//! Health changes only through [`ShardSet::apply`], which accepts
+//! exactly four edges and rejects every other one:
 //!
 //! ```text
-//!   Starting ──banner──► Live ──exit/route-failure──► Dead
-//!      ▲                  ▲                            │
-//!      └──── respawn ─────┴───── probe reconnect ◄─────┘
-//!                 (Restarting, backoff between tries)
+//!   from                  event              to          issued by
+//!   Starting|Restarting   Up{addr,pid}       Live        monitor (from Restarting: +1 restart)
+//!   Live                  RouteFailed{addr}  Dead        router  (only if addr is still current)
+//!   Live|Dead             Exited             Restarting  monitor (clears the pid)
+//!   Dead                  ProbeOk            Live        monitor
 //! ```
+//!
+//! The supervisor's monitor owns the lifecycle; the router only reports
+//! the address it failed to reach, which can demote a live shard but
+//! never one the monitor is already restarting.
 //!
 //! A shard keeps its *slot index* forever — the hash ring maps digests
 //! to slots, not addresses — so a restarted shard (new pid, new port)
@@ -41,9 +47,10 @@ pub enum ShardHealth {
     Starting,
     /// Serving (or believed to be).
     Live,
-    /// Observed dead: process exited, or routing to it failed.
+    /// Routing to it failed while its process may still run; the
+    /// monitor's probe revives it, or its exit sends it to `Restarting`.
     Dead,
-    /// Dead and awaiting its next respawn attempt (backoff).
+    /// Process exited; awaiting its next respawn attempt (backoff).
     Restarting,
 }
 
@@ -75,8 +82,30 @@ pub struct ShardInfo {
     pub restarts: u64,
 }
 
-/// The shared shard-health registry: the supervisor writes it, the
-/// router reads it on every routed request.
+/// One lifecycle event for a shard slot, fed to [`ShardSet::apply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardEvent {
+    /// The slot's child printed its `listening on <addr>` banner.
+    Up {
+        /// The address the child listens on.
+        addr: String,
+        /// The child's pid (`None` for externally-managed shards).
+        pid: Option<u32>,
+    },
+    /// The router failed an exchange with the shard it dialed.
+    RouteFailed {
+        /// The address that was dialed; stale once the slot has moved on.
+        addr: String,
+    },
+    /// The monitor reaped the slot's child process.
+    Exited,
+    /// The monitor reconnected to a dead-marked shard whose process
+    /// still runs.
+    ProbeOk,
+}
+
+/// The shard-health registry: the router reads it on every routed
+/// request, and every change goes through [`ShardSet::apply`].
 #[derive(Clone)]
 pub struct ShardSet {
     inner: Arc<Mutex<Vec<ShardInfo>>>,
@@ -108,8 +137,8 @@ impl ShardSet {
     #[must_use]
     pub fn fixed(addrs: &[String]) -> Self {
         let set = Self::new(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            set.mark_live(i, addr.clone(), None);
+        for (i, addr) in addrs.iter().cloned().enumerate() {
+            set.apply(i, ShardEvent::Up { addr, pid: None });
         }
         set
     }
@@ -148,35 +177,36 @@ impl ShardSet {
         self.lock().get(i).map(|s| s.health)
     }
 
-    /// Marks slot `i` live at `addr` (optionally under child `pid`).
-    pub fn mark_live(&self, i: usize, addr: String, pid: Option<u32>) {
-        if let Some(shard) = self.lock().get_mut(i) {
-            shard.addr = Some(addr);
-            shard.pid = pid;
-            shard.health = ShardHealth::Live;
+    /// Applies `event` to slot `i` if it is one of the four legal edges
+    /// (module docs); returns false, changing nothing, for any other
+    /// edge or an out-of-range slot.
+    pub fn apply(&self, i: usize, event: ShardEvent) -> bool {
+        let mut shards = self.lock();
+        let Some(shard) = shards.get_mut(i) else {
+            return false;
+        };
+        match (shard.health, event) {
+            (ShardHealth::Starting | ShardHealth::Restarting, ShardEvent::Up { addr, pid }) => {
+                if shard.health == ShardHealth::Restarting {
+                    shard.restarts += 1;
+                }
+                shard.addr = Some(addr);
+                shard.pid = pid;
+                shard.health = ShardHealth::Live;
+            }
+            (ShardHealth::Live, ShardEvent::RouteFailed { addr })
+                if shard.addr.as_deref() == Some(addr.as_str()) =>
+            {
+                shard.health = ShardHealth::Dead;
+            }
+            (ShardHealth::Live | ShardHealth::Dead, ShardEvent::Exited) => {
+                shard.health = ShardHealth::Restarting;
+                shard.pid = None;
+            }
+            (ShardHealth::Dead, ShardEvent::ProbeOk) => shard.health = ShardHealth::Live,
+            _ => return false,
         }
-    }
-
-    /// Marks slot `i` dead (route failure or observed process exit).
-    pub fn mark_dead(&self, i: usize) {
-        if let Some(shard) = self.lock().get_mut(i) {
-            shard.health = ShardHealth::Dead;
-        }
-    }
-
-    /// Marks slot `i` as awaiting respawn.
-    pub fn mark_restarting(&self, i: usize) {
-        if let Some(shard) = self.lock().get_mut(i) {
-            shard.health = ShardHealth::Restarting;
-            shard.pid = None;
-        }
-    }
-
-    /// Increments slot `i`'s restart counter (called on respawn).
-    pub fn note_restart(&self, i: usize) {
-        if let Some(shard) = self.lock().get_mut(i) {
-            shard.restarts += 1;
-        }
+        true
     }
 
     /// Total restarts across every slot.
@@ -295,7 +325,8 @@ pub struct Supervisor {
 impl Supervisor {
     /// Spawns every shard synchronously (failing fast if any cannot
     /// boot), then starts the monitor thread. `metrics` receives
-    /// `serve.fleet.deaths` and `serve.fleet.restarts` counters.
+    /// `serve.fleet.deaths`, `serve.fleet.restarts` and
+    /// `serve.fleet.rejected_transitions` counters.
     ///
     /// # Errors
     ///
@@ -307,7 +338,8 @@ impl Supervisor {
         for i in 0..config.shards {
             match spawn_shard(&config.shard_cmd, config.banner_timeout) {
                 Ok((child, addr)) => {
-                    set.mark_live(i, addr, Some(child.id()));
+                    let pid = Some(child.id());
+                    set.apply(i, ShardEvent::Up { addr, pid });
                     slots.push(SlotState {
                         child: Some(child),
                         backoff: config.backoff_base,
@@ -391,6 +423,15 @@ fn send_shutdown(addr: &str) {
     }
 }
 
+/// Applies `event` to `slot`, counting a rejected edge as
+/// `serve.fleet.rejected_transitions`: an event about a state the slot
+/// has already left, such as a route failure on a restarting shard.
+pub(crate) fn report(shards: &ShardSet, metrics: &SharedMetrics, slot: usize, event: ShardEvent) {
+    if !shards.apply(slot, event) {
+        metrics.count("serve.fleet.rejected_transitions", 1);
+    }
+}
+
 /// The monitor: notice exits, respawn with backoff, re-probe shards the
 /// router marked dead whose process is in fact alive. Returns the
 /// children so `drain` can reap them.
@@ -421,19 +462,18 @@ fn monitor_loop(
                 {
                     slot.backoff = config.backoff_base;
                 }
-                set.mark_restarting(i);
+                report(set, metrics, i, ShardEvent::Exited);
                 slot.next_attempt = Instant::now() + slot.backoff;
                 slot.backoff = (slot.backoff * 2).min(config.backoff_cap);
             }
-            // 2. Respawn when due.
-            if slot.child.is_none()
-                && set.health(i) == Some(ShardHealth::Restarting)
-                && Instant::now() >= slot.next_attempt
-            {
+            // 2. Respawn when due. A slot without a child is
+            //    Restarting: only `Exited` takes a child away, and the
+            //    router cannot move a slot out of Restarting.
+            if slot.child.is_none() && Instant::now() >= slot.next_attempt {
                 match spawn_shard(&config.shard_cmd, config.banner_timeout) {
                     Ok((child, addr)) => {
-                        set.mark_live(i, addr, Some(child.id()));
-                        set.note_restart(i);
+                        let pid = Some(child.id());
+                        report(set, metrics, i, ShardEvent::Up { addr, pid });
                         metrics.count("serve.fleet.restarts", 1);
                         slot.child = Some(child);
                         slot.live_since = Some(Instant::now());
@@ -450,8 +490,7 @@ fn monitor_loop(
             if slot.child.is_some() && set.health(i) == Some(ShardHealth::Dead) {
                 if let Some(addr) = set.addr(i) {
                     if std::net::TcpStream::connect(&addr).is_ok() {
-                        let pid = slot.child.as_ref().map(Child::id);
-                        set.mark_live(i, addr, pid);
+                        report(set, metrics, i, ShardEvent::ProbeOk);
                     }
                 }
             }
@@ -473,6 +512,17 @@ mod tests {
         assert_eq!(ShardHealth::Restarting.as_str(), "restarting");
     }
 
+    fn up(addr: &str, pid: u32) -> ShardEvent {
+        ShardEvent::Up {
+            addr: addr.into(),
+            pid: Some(pid),
+        }
+    }
+
+    fn route_failed(addr: &str) -> ShardEvent {
+        ShardEvent::RouteFailed { addr: addr.into() }
+    }
+
     #[test]
     fn shard_set_tracks_the_lifecycle() {
         let set = ShardSet::new(2);
@@ -480,28 +530,202 @@ mod tests {
         assert_eq!(set.health(0), Some(ShardHealth::Starting));
         assert_eq!(set.addr(0), None);
 
-        set.mark_live(0, "127.0.0.1:9000".into(), Some(42));
+        assert!(set.apply(0, up("127.0.0.1:9000", 42)));
         assert_eq!(set.health(0), Some(ShardHealth::Live));
         assert_eq!(set.addr(0), Some("127.0.0.1:9000".into()));
         // Slot 1 untouched.
         assert_eq!(set.health(1), Some(ShardHealth::Starting));
 
-        set.mark_dead(0);
+        assert!(set.apply(0, route_failed("127.0.0.1:9000")));
         assert_eq!(set.health(0), Some(ShardHealth::Dead));
         // Address survives death: the probe needs it.
         assert_eq!(set.addr(0), Some("127.0.0.1:9000".into()));
+        assert!(set.apply(0, ShardEvent::ProbeOk));
+        assert_eq!(set.health(0), Some(ShardHealth::Live));
 
-        set.mark_restarting(0);
+        assert!(set.apply(0, ShardEvent::Exited));
         assert_eq!(set.health(0), Some(ShardHealth::Restarting));
-        set.note_restart(0);
-        set.mark_live(0, "127.0.0.1:9001".into(), Some(43));
+        assert_eq!(set.snapshot()[0].pid, None);
+        assert!(set.apply(0, up("127.0.0.1:9001", 43)));
         assert_eq!(set.addr(0), Some("127.0.0.1:9001".into()));
         assert_eq!(set.total_restarts(), 1);
 
+        // Restarts are summed across slots; a first start is not one.
+        assert!(set.apply(1, up("127.0.0.1:9002", 44)));
+        assert_eq!(set.total_restarts(), 1);
+        assert!(set.apply(1, ShardEvent::Exited));
+        assert!(set.apply(1, up("127.0.0.1:9003", 45)));
+        assert_eq!(set.total_restarts(), 2);
+
         // Out-of-range indices are ignored, not panics.
-        set.mark_dead(99);
-        set.note_restart(99);
+        assert!(!set.apply(99, route_failed("127.0.0.1:9000")));
+        assert!(!set.apply(99, ShardEvent::Exited));
         assert_eq!(set.health(99), None);
+    }
+
+    /// The interleaving that used to orphan a slot: the router's report
+    /// about a shard lands after the monitor has already reaped it.
+    #[test]
+    fn late_route_failure_cannot_orphan_a_restarting_slot() {
+        let set = ShardSet::new(1);
+        assert!(set.apply(0, up("A", 1)));
+        assert!(set.apply(0, ShardEvent::Exited));
+        assert!(!set.apply(0, route_failed("A")));
+        assert_eq!(set.health(0), Some(ShardHealth::Restarting));
+
+        assert!(set.apply(0, up("B", 2)));
+        assert_eq!(set.health(0), Some(ShardHealth::Live));
+        assert_eq!(set.snapshot()[0].restarts, 1);
+
+        // A stale report about the old incarnation leaves the new one live.
+        assert!(!set.apply(0, route_failed("A")));
+        assert_eq!(set.health(0), Some(ShardHealth::Live));
+        assert_eq!(set.addr(0), Some("B".into()));
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Exit,
+        RouteFail,
+        SpawnOk,
+        SpawnFail,
+        ProbeOk,
+    }
+
+    /// The registry plus what the monitor knows: each slot's child, as
+    /// the address it listens on.
+    struct Model {
+        set: ShardSet,
+        children: Vec<Option<String>>,
+        spawned: u32,
+    }
+
+    impl Model {
+        fn new(slots: usize) -> Self {
+            Self {
+                set: ShardSet::new(slots),
+                children: vec![None; slots],
+                spawned: 0,
+            }
+        }
+
+        /// A deep copy: the clone of a `ShardSet` shares its registry.
+        fn fork(&self) -> Self {
+            Self {
+                set: ShardSet {
+                    inner: Arc::new(Mutex::new(self.set.snapshot())),
+                },
+                children: self.children.clone(),
+                spawned: self.spawned,
+            }
+        }
+
+        /// Runs `step` on `slot` against a copy of the model, or returns
+        /// `None` when the step's guard does not hold.
+        fn step(&self, slot: usize, step: Step) -> Option<Self> {
+            let mut next = self.fork();
+            let child = &self.children[slot];
+            let event = match step {
+                Step::Exit => {
+                    child.as_ref()?;
+                    next.children[slot] = None;
+                    ShardEvent::Exited
+                }
+                Step::RouteFail => ShardEvent::RouteFailed {
+                    addr: self.set.addr(slot)?,
+                },
+                Step::SpawnOk | Step::SpawnFail if child.is_some() => return None,
+                Step::SpawnFail => return Some(next),
+                Step::SpawnOk => {
+                    next.spawned += 1;
+                    let addr = format!("{slot}:{}", next.spawned);
+                    next.children[slot] = Some(addr.clone());
+                    ShardEvent::Up {
+                        addr,
+                        pid: Some(next.spawned),
+                    }
+                }
+                // The probe dials the registered address, so it connects
+                // only when the slot's child listens there.
+                Step::ProbeOk => {
+                    child.as_ref()?;
+                    if *child != self.set.addr(slot) {
+                        return None;
+                    }
+                    ShardEvent::ProbeOk
+                }
+            };
+            let before = format!("{:?}", next.set.snapshot());
+            if !next.set.apply(slot, event) {
+                assert_eq!(before, format!("{:?}", next.set.snapshot()));
+            }
+            Some(next)
+        }
+
+        /// True when one pass of the monitor's own moves (respawn a slot
+        /// with no child, probe one with a child) brings every slot back
+        /// live.
+        fn recovers(&self) -> bool {
+            let mut model = self.fork();
+            for slot in 0..model.children.len() {
+                if let Some(next) = model
+                    .step(slot, Step::SpawnOk)
+                    .or_else(|| model.step(slot, Step::ProbeOk))
+                {
+                    model = next;
+                }
+            }
+            model
+                .set
+                .snapshot()
+                .iter()
+                .all(|s| s.health == ShardHealth::Live)
+        }
+    }
+
+    /// Every state reachable in up to `depth` events, on any slot, can
+    /// still get back to live through monitor events. Returns the
+    /// number of states visited and the health values seen.
+    fn explore(model: &Model, depth: usize, seen: &mut Vec<ShardHealth>) -> usize {
+        assert!(
+            model.recovers(),
+            "orphaned slot: {:?} children {:?}",
+            model.set.snapshot(),
+            model.children
+        );
+        for shard in model.set.snapshot() {
+            if !seen.contains(&shard.health) {
+                seen.push(shard.health);
+            }
+        }
+        if depth == 0 {
+            return 1;
+        }
+        let mut visited = 1;
+        for slot in 0..model.children.len() {
+            for step in [
+                Step::Exit,
+                Step::RouteFail,
+                Step::SpawnOk,
+                Step::SpawnFail,
+                Step::ProbeOk,
+            ] {
+                if let Some(next) = model.step(slot, step) {
+                    visited += explore(&next, depth - 1, seen);
+                }
+            }
+        }
+        visited
+    }
+
+    #[test]
+    fn every_reachable_state_recovers_through_monitor_events() {
+        for slots in [1, 2] {
+            let mut seen = Vec::new();
+            let visited = explore(&Model::new(slots), 6, &mut seen);
+            assert!(visited > 100, "{slots} slots: only {visited} states");
+            assert_eq!(seen.len(), 4, "{slots} slots: saw only {seen:?}");
+        }
     }
 
     #[test]

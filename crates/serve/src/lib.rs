@@ -53,7 +53,7 @@ pub use cache::VerdictCache;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use digest::request_digest;
 pub use fault::{FaultInjector, FaultPlan};
-pub use fleet::{FleetConfig, ShardHealth, ShardInfo, ShardSet, Supervisor};
+pub use fleet::{FleetConfig, ShardEvent, ShardHealth, ShardInfo, ShardSet, Supervisor};
 pub use pool::ConnPool;
 pub use protocol::{ErrorBody, ErrorCode, GeometrySpec, Request, Response, PROTOCOL_VERSION};
 pub use ring::HashRing;

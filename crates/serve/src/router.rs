@@ -18,13 +18,26 @@
 //!
 //! Everything else walks the ring's preference order for its digest:
 //! live shards first, then — because the health registry may be stale —
-//! any shard that still has an address. A shard that fails the exchange
-//! is marked dead (the supervisor's probe revives it if it was a
-//! one-off) and the next candidate is tried; every routed op is a pure
-//! read, so re-sending after a torn exchange is safe. Only when every
-//! candidate fails does the client see an error, and it is
-//! `overloaded` + retry-after: request-not-started, so even cautious
-//! clients converge by retrying.
+//! any shard that still has an address. When an exchange fails the next
+//! candidate is tried; every routed op is a pure read, so re-sending
+//! after a torn exchange is safe. Only when every candidate fails does
+//! the client see an error, and it is `overloaded` + retry-after:
+//! request-not-started, so even cautious clients converge by retrying.
+//!
+//! The router assigns no shard health. Shard health changes only
+//! through [`ShardSet::apply`], along four edges:
+//!
+//! ```text
+//!   from                  event              to          issued by
+//!   Starting|Restarting   Up{addr,pid}       Live        monitor (from Restarting: +1 restart)
+//!   Live                  RouteFailed{addr}  Dead        router  (only if addr is still current)
+//!   Live|Dead             Exited             Restarting  monitor (clears the pid)
+//!   Dead                  ProbeOk            Live        monitor
+//! ```
+//!
+//! The supervisor's monitor owns the lifecycle; a failed exchange is
+//! reported as `RouteFailed` with the address actually dialed, so a
+//! report about a shard the monitor has already restarted is dropped.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -38,7 +51,7 @@ use serde::{Serialize, Value};
 use vcache_trace::{MetricsSnapshot, SharedMetrics, SpanCollector, SpanHandle};
 
 use crate::digest::request_digest;
-use crate::fleet::{ShardHealth, ShardSet};
+use crate::fleet::{self, ShardEvent, ShardHealth, ShardSet};
 use crate::pool::ConnPool;
 use crate::protocol::{ErrorBody, ErrorCode, Request, Response, PROTOCOL_VERSION};
 use crate::ring::HashRing;
@@ -382,7 +395,8 @@ fn route_to_fleet(
                 Err(_) => {
                     hop.finish("failed");
                     inner.pool.evict(&addr);
-                    inner.shards.mark_dead(slot);
+                    let failed = ShardEvent::RouteFailed { addr };
+                    fleet::report(&inner.shards, &inner.metrics, slot, failed);
                     inner.metrics.count("serve.router.reroutes", 1);
                 }
             }

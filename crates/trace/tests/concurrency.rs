@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use vcache_trace::{MissClass, RingSink, SharedMetrics, SharedSink, TraceEvent, TraceSink};
 
@@ -62,22 +63,33 @@ fn no_lost_updates_across_writer_threads() {
 fn snapshots_are_never_torn_under_concurrent_writes() {
     let metrics = SharedMetrics::new();
     let stop = Arc::new(AtomicBool::new(false));
+    // Set (Release) by each writer after its first paired write and read
+    // (Acquire) below, so the snapshots race writers that are
+    // demonstrably running.
+    let started: Arc<Vec<AtomicBool>> = Arc::new((0..4).map(|_| AtomicBool::new(false)).collect());
     // Each writer bumps two counters inside one locked section; any
     // snapshot observing them unequal was torn mid-update.
     let writers: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|w| {
             let metrics = metrics.clone();
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     metrics.with(|m| {
                         m.count("pair.a", 1);
                         m.count("pair.b", 1);
                     });
+                    started[w].store(true, Ordering::Release);
                 }
             })
         })
         .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !started.iter().all(|s| s.load(Ordering::Acquire)) {
+        assert!(Instant::now() < deadline, "a writer never ran in 10s");
+        thread::yield_now();
+    }
     for _ in 0..500 {
         let snap = metrics.snapshot();
         assert_eq!(

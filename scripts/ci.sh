@@ -19,6 +19,24 @@ run 1200 cargo build --release --workspace --all-targets
 
 run 1200 cargo test -q --workspace
 
+# Flake gate: two tests that once failed intermittently (a fleet shard
+# orphaned by a late route failure; a torn-snapshot check that could
+# stop its writers before any ran) must pass 20 runs out of 20, so a
+# regression cannot hide as a flake.
+echo "==> flake reruns  (timeout 600s)"
+timeout --kill-after=10 600 bash -c '
+    set -euo pipefail
+    for i in $(seq 20); do
+        out=$(cargo test -q --test serve_chaos \
+            fleet_chaos_soak_survives_a_shard_sigkill -- --exact 2>&1) \
+            || { echo "$out"; echo "fleet chaos soak failed on run $i/20"; exit 1; }
+        out=$(cargo test -q -p vcache-trace --test concurrency \
+            snapshots_are_never_torn_under_concurrent_writes -- --exact 2>&1) \
+            || { echo "$out"; echo "torn-snapshot test failed on run $i/20"; exit 1; }
+    done
+    echo "both tests passed 20/20"
+'
+
 run 300 cargo fmt --all --check
 
 run 900 cargo clippy --workspace --all-targets -- -D warnings

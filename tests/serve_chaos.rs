@@ -501,7 +501,10 @@ fn fleet_chaos_soak_survives_a_shard_sigkill() {
         .collect();
 
     // Mid-soak, SIGKILL one live shard: abrupt death, no drain, exactly
-    // what the supervisor + ring failover exist for.
+    // what the supervisor + ring failover exist for. Stopping it first
+    // lets routed exchanges pile up on it, so the kill always lands
+    // mid-exchange; a bare kill races the monitor, which may notice the
+    // exit before any request reaches the dead shard.
     thread::sleep(Duration::from_millis(500));
     let status = fleet
         .client(12)
@@ -514,6 +517,12 @@ fn fleet_chaos_soak_survives_a_shard_sigkill() {
             _ => None,
         })
         .expect("a live shard with a pid");
+    let stopped = Command::new("kill")
+        .args(["-STOP", &victim_pid.to_string()])
+        .status()
+        .expect("send SIGSTOP");
+    assert!(stopped.success(), "kill -STOP failed");
+    thread::sleep(Duration::from_millis(200));
     let killed = Command::new("kill")
         .args(["-KILL", &victim_pid.to_string()])
         .status()
