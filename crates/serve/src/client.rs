@@ -22,19 +22,21 @@
 //! A client may hold **several shard addresses** (`Client::new`
 //! accepts a comma-separated list); each transport failure rotates to
 //! the next address, so a dead shard only costs the attempts it eats.
-//! Idempotent calls reuse pooled connections ([`crate::pool`]); a
-//! failure on a pooled connection is retried once on a fresh one before
-//! counting as a real attempt failure, because the pooled socket may
-//! simply have been reaped by the peer. Non-idempotent ops always dial
-//! fresh — a half-open pooled write can appear to succeed.
+//! Idempotent calls reuse pooled connections ([`crate::pool`]); any
+//! failure on a pooled connection, an unparseable line included, is
+//! retried once on a fresh one before counting as a real attempt
+//! failure, because the pooled socket may simply have been reaped by
+//! the peer. Non-idempotent ops always dial fresh — a half-open pooled
+//! write can appear to succeed. Each dial is bounded at 1 s per
+//! resolved address; a call with `deadline_ms` waits at most the
+//! deadline plus 2 s for its answer, one without waits unbounded.
 //!
 //! Backoff is decorrelated jitter: `sleep = min(cap, uniform(base,
 //! prev * 3))`, which spreads concurrent retriers instead of
 //! synchronizing them into waves.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -42,7 +44,8 @@ use rand::{Rng, SeedableRng};
 use serde::Value;
 
 use crate::pool::ConnPool;
-use crate::protocol::{ErrorBody, Request, Response};
+use crate::protocol::{ErrorBody, Request};
+use crate::wire::{self, WireError, READ_MARGIN};
 
 /// Retry/backoff knobs.
 #[derive(Debug, Clone, Copy)]
@@ -185,18 +188,21 @@ impl Client {
         self.next_id += 1;
         request.params = params;
         request.deadline_ms = deadline_ms;
+        let line = request.to_json();
         // Every built-in op except `shutdown` is a pure read; pure
         // reads may retry over a broken transport and may ride pooled
-        // connections.
+        // connections (a pooled failure gets one fresh dial).
         let idempotent = op != "shutdown";
+        let read_timeout = deadline_ms.map(|ms| Duration::from_millis(ms) + READ_MARGIN);
 
         let mut prev_sleep = self.policy.base;
         let mut last_error: ClientError;
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match self.attempt(&request, idempotent) {
-                Ok(response) => {
+            let pool = idempotent.then_some(&self.pool);
+            match wire::exchange(pool, self.current_addr(), &line, read_timeout) {
+                Ok((response, _)) => {
                     if response.id != request.id {
                         return Err(ClientError::Protocol(format!(
                             "response id {} does not match request id {}",
@@ -215,20 +221,21 @@ impl Client {
                         Err(body) => return Err(ClientError::Server(body)),
                     }
                 }
-                Err(AttemptError::Connect(addr, e)) => {
+                Err(WireError::Dial(e)) => {
                     // The request never left this process: always safe
                     // to retry, even for non-idempotent ops.
+                    let addr = self.current_addr().to_string();
                     self.rotate();
                     last_error = ClientError::Connect { addr, source: e };
                 }
-                Err(AttemptError::Transport(e)) => {
+                Err(WireError::Io(e)) => {
                     if !idempotent {
                         return Err(ClientError::Io(e));
                     }
                     self.rotate();
                     last_error = ClientError::Io(e);
                 }
-                Err(AttemptError::Protocol(msg)) => return Err(ClientError::Protocol(msg)),
+                Err(WireError::Protocol(msg)) => return Err(ClientError::Protocol(msg)),
             }
             if attempt >= self.policy.max_attempts {
                 return Err(last_error);
@@ -260,76 +267,6 @@ impl Client {
         let sleep_us = self.rng.random_range(floor_us..=hi).min(cap_us);
         Duration::from_micros(sleep_us)
     }
-
-    /// One request/response exchange against the current address.
-    /// Idempotent requests may ride a pooled connection; a failure on a
-    /// pooled socket is retried once on a fresh dial before counting,
-    /// because the pool may simply have handed back a reaped socket.
-    fn attempt(&mut self, request: &Request, idempotent: bool) -> Result<Response, AttemptError> {
-        let addr = self.current_addr().to_string();
-        if idempotent {
-            if let Some(stream) = self.pool.checkout(&addr) {
-                match exchange(stream, request) {
-                    Ok((response, stream)) => {
-                        self.pool.checkin(&addr, stream);
-                        return Ok(response);
-                    }
-                    Err(AttemptError::Protocol(msg)) => return Err(AttemptError::Protocol(msg)),
-                    Err(_) => {
-                        // Suspicion, not verdict: drop the stale idle
-                        // set and fall through to one fresh dial.
-                        self.pool.evict(&addr);
-                    }
-                }
-            }
-        }
-        let stream =
-            TcpStream::connect(&addr).map_err(|e| AttemptError::Connect(addr.clone(), e))?;
-        // Latency over batching: one-line exchanges suffer ~40ms Nagle
-        // + delayed-ACK stalls on reused connections otherwise.
-        let _ = stream.set_nodelay(true);
-        let (response, stream) = exchange(stream, request)?;
-        if idempotent {
-            self.pool.checkin(&addr, stream);
-        }
-        Ok(response)
-    }
-}
-
-/// Writes one request line and reads one response line on `stream`,
-/// returning the stream for reuse on success.
-fn exchange(stream: TcpStream, request: &Request) -> Result<(Response, TcpStream), AttemptError> {
-    let mut writer = stream.try_clone().map_err(AttemptError::Transport)?;
-    let mut line = request.to_json();
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(AttemptError::Transport)?;
-    let mut reader = BufReader::new(stream);
-    let mut response_line = String::new();
-    let n = reader
-        .read_line(&mut response_line)
-        .map_err(AttemptError::Transport)?;
-    if n == 0 || !response_line.ends_with('\n') {
-        // EOF before a complete line: a dropped connection or a torn
-        // write. Transport-class, so idempotent ops may retry.
-        return Err(AttemptError::Transport(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before a complete response line",
-        )));
-    }
-    let response = Response::from_json(response_line.trim_end()).map_err(AttemptError::Protocol)?;
-    Ok((response, reader.into_inner()))
-}
-
-enum AttemptError {
-    /// Dialing `addr` failed; the request never left this process.
-    Connect(String, io::Error),
-    /// The connection broke after the dial (write or read side).
-    Transport(io::Error),
-    /// The daemon answered with something unparseable.
-    Protocol(String),
 }
 
 #[cfg(test)]
@@ -379,6 +316,29 @@ mod tests {
         // retries them rather than failing on the first dial.
         let err = client.call("shutdown", Value::Null, None).unwrap_err();
         assert!(matches!(err, ClientError::Connect { .. }), "got {err}");
+    }
+
+    #[test]
+    fn a_silent_peer_times_out_at_deadline_plus_margin() {
+        // The kernel completes the handshake from the backlog; nothing
+        // ever reads the request or answers it.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = silent.local_addr().unwrap().to_string();
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let mut client = Client::with_policy(addr, policy);
+            let _ = tx.send(client.call("ping", Value::Null, Some(100)));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("call against a silent peer did not return within 5 s");
+        caller.join().unwrap();
+        assert!(matches!(outcome, Err(ClientError::Io(_))), "{outcome:?}");
+        drop(silent);
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod ring;
 pub mod router;
 pub mod server;
 pub mod stat;
+mod wire;
 
 pub use cache::VerdictCache;
 pub use client::{Client, ClientError, RetryPolicy};

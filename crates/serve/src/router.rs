@@ -39,12 +39,11 @@
 //! reported as `RouteFailed` with the address actually dialed, so a
 //! report about a shard the monitor has already restarted is dropped.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Serialize, Value};
@@ -55,15 +54,7 @@ use crate::fleet::{self, ShardEvent, ShardHealth, ShardSet};
 use crate::pool::ConnPool;
 use crate::protocol::{ErrorBody, ErrorCode, Request, Response, PROTOCOL_VERSION};
 use crate::ring::HashRing;
-
-/// How long an accept loop sleeps between polls of the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-/// Read timeout on client sockets (bounds shutdown latency).
-const READ_POLL: Duration = Duration::from_millis(250);
-/// Dial timeout for shard connections.
-const DIAL_TIMEOUT: Duration = Duration::from_millis(1_000);
-/// Slack added to a request's deadline when waiting on a shard.
-const SHARD_READ_MARGIN: Duration = Duration::from_millis(2_000);
+use crate::wire::{self, LineHandler, READ_MARGIN};
 
 /// Everything configurable about a router instance.
 #[derive(Debug, Clone)]
@@ -96,7 +87,7 @@ struct Inner {
     pool: ConnPool,
     metrics: SharedMetrics,
     spans: SpanCollector,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     started: Instant,
     retry_after_ms: u64,
     default_deadline: Duration,
@@ -153,7 +144,7 @@ impl Router {
                 pool: ConnPool::default(),
                 metrics,
                 spans,
-                shutdown: AtomicBool::new(false),
+                shutdown: Arc::new(AtomicBool::new(false)),
                 started: Instant::now(),
                 retry_after_ms: config.retry_after_ms,
                 default_deadline: Duration::from_millis(config.default_deadline_ms.max(1)),
@@ -186,101 +177,20 @@ impl Router {
     /// Socket configuration failures; per-connection errors are
     /// absorbed.
     pub fn run(self) -> io::Result<MetricsSnapshot> {
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         self.listener.set_nonblocking(true)?;
-        loop {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let inner = Arc::clone(&self.inner);
-                    let handle = thread::spawn(move || {
-                        inner.metrics.count("serve.connections", 1);
-                        // Nagle + delayed-ACK stalls every small
-                        // request/response round trip ~40ms; a router
-                        // hop doubles that. Latency beats batching here.
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-                            return;
-                        }
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        route_connection(BufReader::new(read_half), stream, &inner);
-                    });
-                    handles
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(handle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.inner.metrics.count("serve.accept_errors", 1);
-                    thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-        let joined = std::mem::take(&mut *handles.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in joined {
-            let _ = handle.join();
-        }
+        let inner = Arc::clone(&self.inner);
+        let handler: Arc<LineHandler> = Arc::new(move |line: &str, out: &mut dyn Write| {
+            let (response_line, close_after) = dispatch_route(line, &inner);
+            // One write per response: a split line + newline pair would
+            // re-trigger the Nagle stall the transport's nodelay avoids.
+            let mut framed = response_line.into_bytes();
+            framed.push(b'\n');
+            out.write_all(&framed).and_then(|()| out.flush()).is_ok() && !close_after
+        });
+        let accept = || self.listener.accept().map(|(stream, _)| stream);
+        wire::accept_loop(accept, &self.inner.shutdown, &self.inner.metrics, &handler);
         let _ = self.inner.spans.flush();
         Ok(self.inner.metrics.snapshot())
-    }
-}
-
-/// One client connection: read a line, resolve it (locally or across
-/// the fleet), write exactly one response line, repeat.
-fn route_connection<R: Read, W: Write>(
-    mut reader: BufReader<R>,
-    mut writer: W,
-    inner: &Arc<Inner>,
-) {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return;
-                }
-            }
-            Ok(_) if !buf.ends_with(b"\n") => continue,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        let line = String::from_utf8_lossy(&buf).trim().to_string();
-        let at_eof = !buf.ends_with(b"\n");
-        buf.clear();
-        if line.is_empty() {
-            if at_eof {
-                return;
-            }
-            continue;
-        }
-        inner.metrics.count("serve.requests", 1);
-        let (response_line, close_after) = dispatch_route(&line, inner);
-        // One write per response: a split line + newline pair would
-        // re-trigger the Nagle stall the nodelay above avoids.
-        let mut framed = response_line.into_bytes();
-        framed.push(b'\n');
-        let ok = writer
-            .write_all(&framed)
-            .and_then(|()| writer.flush())
-            .is_ok();
-        if !ok || close_after || at_eof {
-            return;
-        }
     }
 }
 
@@ -293,7 +203,7 @@ fn dispatch_route(line: &str, inner: &Arc<Inner>) -> (String, bool) {
             let root = inner.spans.root("malformed", 0, None);
             let response = Response::err(0, ErrorBody::new(ErrorCode::BadRequest, msg));
             root.finish("bad_request");
-            return (finish(inner, &response.to_json()), false);
+            return (local(inner, &response), false);
         }
     };
     let digest = request_digest(&request.op, &request.params);
@@ -311,12 +221,12 @@ fn dispatch_route(line: &str, inner: &Arc<Inner>) -> (String, bool) {
                 ]),
             );
             root.finish("ok");
-            (finish(inner, &response.to_json()), false)
+            (local(inner, &response), false)
         }
         "status" => {
             let response = Response::ok(request.id, router_status(inner));
             root.finish("ok");
-            (finish(inner, &response.to_json()), false)
+            (local(inner, &response), false)
         }
         "shutdown" => {
             inner.shutdown.store(true, Ordering::SeqCst);
@@ -325,7 +235,7 @@ fn dispatch_route(line: &str, inner: &Arc<Inner>) -> (String, bool) {
                 Value::Obj(vec![("stopping".into(), Value::Bool(true))]),
             );
             root.finish("ok");
-            (finish(inner, &response.to_json()), true)
+            (local(inner, &response), true)
         }
         _ if inner.shutdown.load(Ordering::SeqCst) => {
             let response = Response::err(
@@ -333,7 +243,7 @@ fn dispatch_route(line: &str, inner: &Arc<Inner>) -> (String, bool) {
                 ErrorBody::new(ErrorCode::ShuttingDown, "router is draining"),
             );
             root.finish("shutting_down");
-            (finish(inner, &response.to_json()), false)
+            (local(inner, &response), false)
         }
         _ => {
             let (line, status) = route_to_fleet(line, &request, &digest, inner, &root);
@@ -343,20 +253,11 @@ fn dispatch_route(line: &str, inner: &Arc<Inner>) -> (String, bool) {
     }
 }
 
-/// Counts the outcome of a response line (ok/error taxonomy) and
-/// returns it unchanged — the single funnel every response leaves
-/// through, shard-forwarded or local.
-fn finish(inner: &Inner, response_line: &str) -> String {
-    match Response::from_json(response_line) {
-        Ok(response) => match &response.outcome {
-            Ok(_) => inner.metrics.count("serve.responses_ok", 1),
-            Err(body) => inner
-                .metrics
-                .count(&format!("serve.errors.{}", body.code), 1),
-        },
-        Err(_) => inner.metrics.count("serve.errors.internal_error", 1),
-    }
-    response_line.to_string()
+/// Counts the outcome of a response the router answers itself and
+/// serializes it.
+fn local(inner: &Inner, response: &Response) -> String {
+    wire::count_outcome(&inner.metrics, response);
+    response.to_json()
 }
 
 /// Walks the ring's preference order for `digest` until a shard
@@ -373,7 +274,7 @@ fn route_to_fleet(
     let read_timeout = request
         .deadline_ms
         .map_or(inner.default_deadline, Duration::from_millis)
-        + SHARD_READ_MARGIN;
+        + READ_MARGIN;
     // Pass 1: shards believed live. Pass 2: anything with an address —
     // the registry may be stale in both directions.
     for live_only in [true, false] {
@@ -387,10 +288,11 @@ fn route_to_fleet(
                 continue;
             }
             let hop = root.child("route");
-            match forward(inner, &addr, raw_line, read_timeout) {
-                Ok(response_line) => {
+            match wire::exchange(Some(&inner.pool), &addr, raw_line, Some(read_timeout)) {
+                Ok((response, response_line)) => {
                     hop.finish("ok");
-                    return (finish(inner, &response_line), "ok");
+                    wire::count_outcome(&inner.metrics, &response);
+                    return (response_line, "ok");
                 }
                 Err(_) => {
                     hop.finish("failed");
@@ -407,76 +309,7 @@ fn route_to_fleet(
         "no shard could serve the request; all candidates failed",
     );
     body.retry_after_ms = Some(inner.retry_after_ms);
-    let response = Response::err(request.id, body);
-    (finish(inner, &response.to_json()), "overloaded")
-}
-
-/// One raw exchange with a shard: write the request line verbatim, read
-/// one complete response line, and insist it parses as a protocol
-/// response (a torn shard write must become a reroute, not a garbage
-/// line forwarded to the client). Pooled connections get one fresh-dial
-/// retry, since the pool may hand back a socket the shard has reaped.
-fn forward(
-    inner: &Inner,
-    addr: &str,
-    raw_line: &str,
-    read_timeout: Duration,
-) -> io::Result<String> {
-    if let Some(stream) = inner.pool.checkout(addr) {
-        if let Ok(line) = exchange_raw(stream, raw_line, read_timeout, &inner.pool, addr) {
-            return Ok(line);
-        }
-        inner.pool.evict(addr);
-    }
-    let stream = dial(addr)?;
-    exchange_raw(stream, raw_line, read_timeout, &inner.pool, addr)
-}
-
-/// Connects with a bounded dial timeout.
-fn dial(addr: &str) -> io::Result<TcpStream> {
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable address"))?;
-    let stream = TcpStream::connect_timeout(&resolved, DIAL_TIMEOUT)?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
-}
-
-/// The raw line-for-line exchange. On success the connection goes back
-/// to the pool.
-fn exchange_raw(
-    stream: TcpStream,
-    raw_line: &str,
-    read_timeout: Duration,
-    pool: &ConnPool,
-    addr: &str,
-) -> io::Result<String> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut framed = Vec::with_capacity(raw_line.len() + 1);
-    framed.extend_from_slice(raw_line.as_bytes());
-    framed.push(b'\n');
-    writer.write_all(&framed)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 || !line.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "shard closed before a complete response line",
-        ));
-    }
-    let trimmed = line.trim_end_matches(['\n', '\r']).to_string();
-    if Response::from_json(&trimmed).is_err() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "shard sent an unparseable response line",
-        ));
-    }
-    pool.checkin(addr, reader.into_inner());
-    Ok(trimmed)
+    (local(inner, &Response::err(request.id, body)), "overloaded")
 }
 
 /// The router's own `status` result: role marker, per-shard health, and

@@ -1,5 +1,5 @@
-//! The analysis daemon: accept loops, a crash-isolated worker pool,
-//! deadlines, backpressure, and graceful drain.
+//! The analysis daemon: a crash-isolated worker pool, deadlines,
+//! backpressure, and graceful drain, behind the `wire` transport.
 //!
 //! Architecture (one box per thread):
 //!
@@ -38,8 +38,8 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,12 +66,8 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::queue::{Bounded, PushError};
+use crate::wire::{self, LineHandler};
 
-/// How long an accept loop sleeps between polls of the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-/// Read timeout on connection sockets; bounds how long a connection
-/// thread can outlive a shutdown request.
-const READ_POLL: Duration = Duration::from_millis(250);
 /// Latency histogram bounds, microseconds.
 const LATENCY_BOUNDS_US: [u64; 12] = [
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 500_000, 2_000_000,
@@ -148,7 +144,7 @@ struct Shared {
     metrics: SharedMetrics,
     spans: SpanCollector,
     injector: FaultInjector,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     in_flight: AtomicU64,
     default_deadline: Duration,
     retry_after_ms: u64,
@@ -236,7 +232,7 @@ impl Server {
             metrics,
             spans,
             injector: FaultInjector::new(config.fault_plan),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             in_flight: AtomicU64::new(0),
             default_deadline: Duration::from_millis(config.default_deadline_ms.max(1)),
             retry_after_ms: config.retry_after_ms,
@@ -291,46 +287,44 @@ impl Server {
     /// Socket configuration failures; individual connection errors are
     /// absorbed and counted.
     pub fn run(self) -> io::Result<MetricsSnapshot> {
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
+        self.listener.set_nonblocking(true)?;
+        #[cfg(unix)]
+        if let Some(listener) = &self.unix {
+            listener.set_nonblocking(true)?;
+        }
         let worker_handles: Vec<JoinHandle<()>> = (0..self.workers)
             .map(|_| {
                 let shared = Arc::clone(&self.shared);
                 thread::spawn(move || worker_loop(&shared))
             })
             .collect();
+        let shared = Arc::clone(&self.shared);
+        let handler: Arc<LineHandler> = Arc::new(move |line: &str, out: &mut dyn Write| {
+            let (response, close_after) = dispatch_line(line, &shared);
+            write_response(out, &response, &shared) && !close_after
+        });
 
         #[cfg(unix)]
         let unix_accept = self.unix.map(|listener| {
             let shared = Arc::clone(&self.shared);
-            let handles = Arc::clone(&conn_handles);
+            let handler = Arc::clone(&handler);
             thread::spawn(move || {
-                let _ = accept_loop_unix(&listener, &shared, &handles);
+                let accept = || listener.accept().map(|(stream, _)| stream);
+                wire::accept_loop(accept, &shared.shutdown, &shared.metrics, &handler);
             })
         });
-
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.shared.shutting_down() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    spawn_tcp_conn(stream, &self.shared, &conn_handles);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.shared.metrics.count("serve.accept_errors", 1);
-                    thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
+        let accept = || self.listener.accept().map(|(stream, _)| stream);
+        wire::accept_loop(
+            accept,
+            &self.shared.shutdown,
+            &self.shared.metrics,
+            &handler,
+        );
 
         // Shutdown sequence: the flag is set and the queue is closed
-        // (trigger_shutdown). Workers drain what is queued, connection
-        // threads finish their in-flight exchange and exit at the next
-        // read poll.
+        // (trigger_shutdown). Workers drain what is queued; the accept
+        // loops have joined their connection threads, which finished
+        // their in-flight exchange and exited at the next read poll.
         self.shared.queue.close();
         for handle in worker_handles {
             let _ = handle.join();
@@ -339,125 +333,11 @@ impl Server {
         if let Some(handle) = unix_accept {
             let _ = handle.join();
         }
-        let handles =
-            std::mem::take(&mut *conn_handles.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            let _ = handle.join();
-        }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
         let _ = self.shared.spans.flush();
         Ok(self.shared.metrics.snapshot())
-    }
-}
-
-fn spawn_tcp_conn(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let shared = Arc::clone(shared);
-    let handle = thread::spawn(move || {
-        shared.metrics.count("serve.connections", 1);
-        // Request/response lines are small; Nagle + delayed ACK would
-        // stall pipelined peers (the fleet router above all) ~40ms per
-        // exchange.
-        let _ = stream.set_nodelay(true);
-        if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-            return;
-        }
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        serve_connection(BufReader::new(read_half), stream, &shared);
-    });
-    handles
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(handle);
-}
-
-#[cfg(unix)]
-fn accept_loop_unix(
-    listener: &std::os::unix::net::UnixListener,
-    shared: &Arc<Shared>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if shared.shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared_conn = Arc::clone(shared);
-                let handle = thread::spawn(move || {
-                    shared_conn.metrics.count("serve.connections", 1);
-                    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-                        return;
-                    }
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    serve_connection(BufReader::new(read_half), stream, &shared_conn);
-                });
-                handles
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// One connection: read a request line, resolve it to exactly one
-/// response, write the response, repeat. Strictly ordered — concurrency
-/// comes from multiple connections feeding the shared worker pool.
-fn serve_connection<R: Read, W: Write>(
-    mut reader: BufReader<R>,
-    mut writer: W,
-    shared: &Arc<Shared>,
-) {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return; // clean EOF between requests
-                }
-                // Final request without a trailing newline.
-            }
-            Ok(_) if !buf.ends_with(b"\n") => continue, // partial read, keep going
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        let line = String::from_utf8_lossy(&buf).trim().to_string();
-        let at_eof = !buf.ends_with(b"\n");
-        buf.clear();
-        if line.is_empty() {
-            if at_eof {
-                return;
-            }
-            continue;
-        }
-        shared.metrics.count("serve.requests", 1);
-        let (response, close_after) = dispatch_line(&line, shared);
-        if !write_response(&mut writer, &response, shared) || close_after || at_eof {
-            return;
-        }
     }
 }
 
@@ -682,14 +562,8 @@ fn enqueue_and_wait(request: Request, shared: &Arc<Shared>, root: &SpanHandle) -
 
 /// Writes one response line, possibly tearing it per the fault plan.
 /// Returns false when the connection should be dropped.
-fn write_response<W: Write>(writer: &mut W, response: &Response, shared: &Arc<Shared>) -> bool {
-    if let Err(body) = &response.outcome {
-        shared
-            .metrics
-            .count(&format!("serve.errors.{}", body.code), 1);
-    } else {
-        shared.metrics.count("serve.responses_ok", 1);
-    }
+fn write_response(writer: &mut dyn Write, response: &Response, shared: &Shared) -> bool {
+    wire::count_outcome(&shared.metrics, response);
     let mut line = response.to_json();
     line.push('\n');
     let bytes = line.as_bytes();

@@ -136,6 +136,23 @@ timeout --kill-after=10 300 bash -c '
 # never per enumeration step).
 run 300 ./target/release/span_overhead
 
+# churn_guard <pid> <addr>: 200 pings, each a fresh `vcache client`
+# process and so a fresh connection, must grow the server's memory
+# mappings by fewer than 50 lines. A server that keeps a thread (stack
+# plus guard page) per connection ever accepted grows by about 400.
+churn_guard() {
+    local pid="$1" addr="$2" before after
+    before=$(wc -l <"/proc/$pid/maps")
+    for _ in $(seq 200); do
+        ./target/release/vcache client ping --addr "$addr" >/dev/null
+    done
+    sleep 0.2
+    after=$(wc -l <"/proc/$pid/maps")
+    echo "connection churn: /proc/$pid/maps $before -> $after lines over 200 connections"
+    [ $((after - before)) -lt 50 ] || { echo "mappings grew by $((after - before))"; return 1; }
+}
+export -f churn_guard
+
 echo "==> daemon smoke  (timeout 120s)"
 timeout --kill-after=10 120 bash -c '
     set -euo pipefail
@@ -158,6 +175,7 @@ timeout --kill-after=10 120 bash -c '
     ./target/release/vcache stat --prom --addr "$addr" | grep -q "^vcache_serve_requests_total"
     ./target/release/vcache stat --prom --addr "$addr" \
         | grep -q "^vcache_serve_probabilistic_verdicts_total"
+    churn_guard "$daemon" "$addr"
     $client shutdown --addr "$addr" >/dev/null
 
 # A leaked daemon never reaches here: wait blocks until the stage
@@ -214,6 +232,7 @@ timeout --kill-after=10 120 bash -c '
     ./target/release/vcache stat --prom --addr "$addr" \
         | grep -q "^vcache_serve_shard_restarts_total{shard=\"0\"} [1-9]" \
         || { echo "killed shard was never restarted"; exit 1; }
+    churn_guard "$fleet" "$addr"
 
     $client shutdown --addr "$addr" >/dev/null
     code=0

@@ -25,7 +25,8 @@ struct Daemon {
     /// Drains the daemon's stderr from the moment it spawns: with
     /// `--slow-ms` armed the soak emits hundreds of slow-request lines,
     /// and an unread pipe would fill and deadlock the daemon mid-test.
-    stderr_drain: thread::JoinHandle<String>,
+    /// Taken by [`Daemon::wait_exit`].
+    stderr_drain: Option<thread::JoinHandle<String>>,
 }
 
 impl Daemon {
@@ -60,7 +61,7 @@ impl Daemon {
         Daemon {
             child,
             addr,
-            stderr_drain,
+            stderr_drain: Some(stderr_drain),
         }
     }
 
@@ -91,19 +92,44 @@ impl Daemon {
             }
         }
         let status = self.child.wait().expect("wait");
-        let stderr = self.stderr_drain.join().expect("stderr drain thread");
+        let stderr = self
+            .stderr_drain
+            .take()
+            .expect("stderr not yet drained")
+            .join()
+            .expect("stderr drain thread");
         (status, stderr)
     }
 
     /// SIGTERMs the daemon, then waits for the drain.
     fn sigterm_and_wait(self) -> (ExitStatus, String) {
-        let pid = self.child.id().to_string();
-        let kill = Command::new("kill")
-            .args(["-TERM", &pid])
-            .status()
-            .expect("send SIGTERM");
-        assert!(kill.success(), "kill -TERM failed");
+        assert!(self.sigterm(), "kill -TERM failed");
         self.wait_exit(Duration::from_secs(30))
+    }
+
+    fn sigterm(&self) -> bool {
+        Command::new("kill")
+            .args(["-TERM", &self.child.id().to_string()])
+            .status()
+            .is_ok_and(|status| status.success())
+    }
+}
+
+/// A test that fails mid-soak must not leak the daemon (or a fleet's
+/// router and shards): SIGTERM lets a router drain its shards; SIGKILL
+/// follows after 10 s.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if !matches!(self.child.try_wait(), Ok(None)) {
+            return;
+        }
+        self.sigterm();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(25));
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
