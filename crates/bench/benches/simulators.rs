@@ -11,12 +11,25 @@ use vcache_trace::{NullSink, RingSink};
 
 const ACCESSES: u64 = 8192;
 
+/// Lines in the warm footprint: 1.5x the 8K-line caches, so the second
+/// sweep mixes hits (lines 4096..8192 of a direct cache survive), full-set
+/// evictions, conflicts and shadow capacity misses.
+const WARM_LINES: u64 = 12_288;
+
+/// Cold traffic: `ACCESSES` distinct lines, every access a compulsory miss.
 fn drive(cache: &mut CacheSim) -> u64 {
+    drive_sweeps(cache, ACCESSES, 1)
+}
+
+/// `sweeps` passes over `lines` lines, 769 words apart.
+fn drive_sweeps(cache: &mut CacheSim, lines: u64, sweeps: u64) -> u64 {
     let mut misses = 0;
-    for i in 0..ACCESSES {
-        let addr = WordAddr::new(i.wrapping_mul(769));
-        if !cache.access(black_box(addr), StreamId::new(0)).is_hit() {
-            misses += 1;
+    for _ in 0..sweeps {
+        for i in 0..lines {
+            let addr = WordAddr::new(i.wrapping_mul(769));
+            if !cache.access(black_box(addr), StreamId::new(0)).is_hit() {
+                misses += 1;
+            }
         }
     }
     misses
@@ -43,6 +56,29 @@ fn bench_cache_orgs(c: &mut Criterion) {
         b.iter_batched(
             || CacheSim::set_associative(8192, 4, 1, ReplacementPolicy::Lru).expect("valid"),
             |mut cache| drive(&mut cache),
+            BatchSize::LargeInput,
+        )
+    });
+    // Warm rows: two sweeps of the 12K-line footprint from an empty cache.
+    group.throughput(Throughput::Elements(2 * WARM_LINES));
+    group.bench_function("direct_8192_warm", |b| {
+        b.iter_batched(
+            || CacheSim::direct_mapped(8192, 1).expect("valid"),
+            |mut cache| drive_sweeps(&mut cache, WARM_LINES, 2),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("prime_8191_warm", |b| {
+        b.iter_batched(
+            || CacheSim::prime_mapped(13, 1).expect("valid"),
+            |mut cache| drive_sweeps(&mut cache, WARM_LINES, 2),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("assoc4_lru_8192_warm", |b| {
+        b.iter_batched(
+            || CacheSim::set_associative(8192, 4, 1, ReplacementPolicy::Lru).expect("valid"),
+            |mut cache| drive_sweeps(&mut cache, WARM_LINES, 2),
             BatchSize::LargeInput,
         )
     });

@@ -48,6 +48,8 @@
 mod addr;
 mod classify;
 mod mapper;
+#[cfg(test)]
+mod reference;
 mod replacement;
 mod sim;
 mod stats;

@@ -22,21 +22,39 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Picks the victim way among `ways` occupied entries.
+    /// Picks the victim way of a full set.
     ///
-    /// `use_order` holds way indices from least- to most-recently *used*;
-    /// `fill_order` from oldest- to newest-*filled*. Both always contain
-    /// every occupied way exactly once.
-    pub(crate) fn victim(
-        &self,
-        use_order: &[usize],
-        fill_order: &[usize],
-        rng: &mut StdRng,
-    ) -> usize {
+    /// `stamps` yields each occupied way's `(last_use, filled_at)` clock
+    /// stamps in way order; stamps are unique within a set, so the choice
+    /// never depends on where a line sits. LRU takes the smallest
+    /// `last_use`, FIFO the smallest `filled_at`. Random draws a rank in
+    /// `0..ways` and takes the way with that rank in `last_use` order,
+    /// selecting in `scratch` so that no eviction allocates once
+    /// `scratch` has room for a set.
+    pub(crate) fn victim<I>(&self, stamps: I, rng: &mut StdRng, scratch: &mut Vec<u64>) -> usize
+    where
+        I: ExactSizeIterator<Item = (u64, u64)> + Clone,
+    {
+        let oldest = |key: fn((u64, u64)) -> u64| {
+            stamps
+                .clone()
+                .enumerate()
+                .min_by_key(|&(_, s)| key(s))
+                .map_or(0, |(way, _)| way)
+        };
         match self {
-            Self::Lru => use_order[0],
-            Self::Fifo => fill_order[0],
-            Self::Random => use_order[rng.random_range(0..use_order.len())],
+            Self::Lru => oldest(|(used, _)| used),
+            Self::Fifo => oldest(|(_, filled)| filled),
+            Self::Random => {
+                let rank = rng.random_range(0..stamps.len());
+                scratch.clear();
+                scratch.extend(stamps.clone().map(|(used, _)| used));
+                let (_, &mut pick, _) = scratch.select_nth_unstable(rank);
+                stamps
+                    .clone()
+                    .position(|(used, _)| used == pick)
+                    .unwrap_or(0)
+            }
         }
     }
 }
@@ -56,22 +74,23 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Three ways; way 2 was used longest ago, way 1 filled first.
+    const STAMPS: [(u64, u64); 3] = [(9, 4), (7, 1), (5, 5)];
+
+    fn pick(policy: ReplacementPolicy, rng: &mut StdRng) -> usize {
+        policy.victim(STAMPS.iter().copied(), rng, &mut Vec::new())
+    }
+
     #[test]
     fn lru_picks_least_recently_used() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(
-            ReplacementPolicy::Lru.victim(&[2, 0, 1], &[0, 1, 2], &mut rng),
-            2
-        );
+        assert_eq!(pick(ReplacementPolicy::Lru, &mut rng), 2);
     }
 
     #[test]
     fn fifo_picks_oldest_fill() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(
-            ReplacementPolicy::Fifo.victim(&[2, 0, 1], &[1, 2, 0], &mut rng),
-            1
-        );
+        assert_eq!(pick(ReplacementPolicy::Fifo, &mut rng), 1);
     }
 
     #[test]
@@ -79,9 +98,25 @@ mod tests {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
         for _ in 0..32 {
-            let va = ReplacementPolicy::Random.victim(&[0, 1, 2, 3], &[0, 1, 2, 3], &mut a);
-            let vb = ReplacementPolicy::Random.victim(&[0, 1, 2, 3], &[0, 1, 2, 3], &mut b);
-            assert_eq!(va, vb);
+            assert_eq!(
+                pick(ReplacementPolicy::Random, &mut a),
+                pick(ReplacementPolicy::Random, &mut b)
+            );
+        }
+    }
+
+    #[test]
+    fn random_evicts_the_way_of_the_drawn_use_rank() {
+        // Ranks in last_use order: way 2 (5), way 1 (7), way 0 (9).
+        let by_rank = [2, 1, 0];
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut twin = StdRng::seed_from_u64(7);
+        let mut scratch = Vec::new();
+        for _ in 0..32 {
+            let rank = twin.random_range(0..STAMPS.len());
+            let way =
+                ReplacementPolicy::Random.victim(STAMPS.iter().copied(), &mut rng, &mut scratch);
+            assert_eq!(way, by_rank[rank]);
         }
     }
 

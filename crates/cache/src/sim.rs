@@ -75,11 +75,20 @@ pub enum CacheConfigError {
         /// Requested set count.
         sets: u64,
     },
+    /// More lines than the simulator will allocate: every line of every
+    /// set is allocated up front.
+    TooManyLines {
+        /// Requested set count.
+        sets: u64,
+        /// Requested ways per set.
+        ways: u64,
+    },
 }
 
-/// Largest set count the simulator will allocate (2^28 sets ≈ gigabytes of
-/// backing store — already beyond any experiment in this repository).
-pub(crate) const MAX_SIMULATED_SETS: u64 = 1 << 28;
+/// Largest line count, and so largest set count, the simulator will
+/// allocate (2^28 lines ≈ gigabytes of backing store — already beyond any
+/// experiment in this repository).
+pub(crate) const MAX_SIMULATED_LINES: u64 = 1 << 28;
 
 impl fmt::Display for CacheConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -106,7 +115,14 @@ impl fmt::Display for CacheConfigError {
             Self::TooManySets { sets } => {
                 write!(
                     f,
-                    "{sets} sets exceed the simulator's allocation bound of {MAX_SIMULATED_SETS}"
+                    "{sets} sets exceed the simulator's allocation bound of {MAX_SIMULATED_LINES}"
+                )
+            }
+            Self::TooManyLines { sets, ways } => {
+                write!(
+                    f,
+                    "{sets} sets of {ways} ways exceed the simulator's allocation bound of \
+                     {MAX_SIMULATED_LINES} lines"
                 )
             }
         }
@@ -136,8 +152,8 @@ impl AccessResult {
     }
 }
 
-/// One resident line: its address and owning stream.
-#[derive(Debug, Clone, Copy)]
+/// One resident line: its address, owning stream and clock stamps.
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     line: LineAddr,
     stream: StreamId,
@@ -169,12 +185,24 @@ pub struct CacheSim {
     geometry: Geometry,
     mapper: Mapper,
     policy: ReplacementPolicy,
-    sets: Vec<Vec<Entry>>,
+    /// `log2(line_words)`: a word's line is one shift away.
+    line_shift: u32,
+    ways: usize,
+    /// Every way of every set, set-major: set `s` owns
+    /// `entries[s * ways..][..ways]`, of which the first `filled[s]` hold
+    /// lines.
+    entries: Vec<Entry>,
+    filled: Vec<usize>,
+    /// Random replacement's rank-select buffer, sized for one set.
+    ranks: Vec<u64>,
     shadow: ShadowCache,
     stats: CacheStats,
     clock: u64,
     rng: StdRng,
 }
+
+/// Seed of the Random policy's generator, fixed so runs repeat.
+const RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl CacheSim {
     /// A direct-mapped cache of `lines` (power of two) lines.
@@ -210,14 +238,14 @@ impl CacheSim {
         if !sets.is_power_of_two() {
             return Err(CacheConfigError::LinesNotPowerOfTwo { lines: sets });
         }
-        if sets > MAX_SIMULATED_SETS {
+        if sets > MAX_SIMULATED_LINES {
             return Err(CacheConfigError::TooManySets { sets });
         }
-        Ok(Self::build(
+        Self::build(
             Geometry::new(sets, ways, line_words),
             Mapper::Pow2(Pow2Mapper::new(sets)),
             policy,
-        ))
+        )
     }
 
     /// A fully-associative cache of `lines` lines.
@@ -236,11 +264,11 @@ impl CacheSim {
         if !line_words.is_power_of_two() {
             return Err(CacheConfigError::BadLineWords { line_words });
         }
-        Ok(Self::build(
+        Self::build(
             Geometry::new(1, lines, line_words),
             Mapper::Pow2(Pow2Mapper::new(1)),
             policy,
-        ))
+        )
     }
 
     /// The paper's prime-mapped cache: `2^c − 1` direct-mapped lines.
@@ -275,28 +303,50 @@ impl CacheSim {
                 exponent: e.exponent(),
             })?;
         let sets = mapper.num_sets();
-        if sets > MAX_SIMULATED_SETS {
+        if sets > MAX_SIMULATED_LINES {
             return Err(CacheConfigError::TooManySets { sets });
         }
-        Ok(Self::build(
+        Self::build(
             Geometry::new(sets, ways, line_words),
             Mapper::Prime(mapper),
             policy,
-        ))
+        )
     }
 
-    fn build(geometry: Geometry, mapper: Mapper, policy: ReplacementPolicy) -> Self {
-        let sets = vec![Vec::new(); geometry.sets() as usize];
-        Self {
+    fn build(
+        geometry: Geometry,
+        mapper: Mapper,
+        policy: ReplacementPolicy,
+    ) -> Result<Self, CacheConfigError> {
+        let (sets, ways) = (geometry.sets(), geometry.ways());
+        let lines = sets
+            .checked_mul(ways)
+            .filter(|&lines| lines <= MAX_SIMULATED_LINES)
+            .ok_or(CacheConfigError::TooManyLines { sets, ways })?;
+        let ways = ways as usize;
+        Ok(Self {
             geometry,
             mapper,
             policy,
-            sets,
-            shadow: ShadowCache::new(geometry.total_lines()),
+            line_shift: geometry.line_words().trailing_zeros(),
+            ways,
+            entries: vec![Entry::default(); lines as usize],
+            filled: vec![0; sets as usize],
+            ranks: Vec::with_capacity(if policy == ReplacementPolicy::Random {
+                ways
+            } else {
+                0
+            }),
+            shadow: ShadowCache::new(lines),
             stats: CacheStats::default(),
             clock: 0,
-            rng: StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15),
-        }
+            rng: StdRng::seed_from_u64(RNG_SEED),
+        })
+    }
+
+    /// The line containing `word`.
+    fn line_of(&self, word: WordAddr) -> LineAddr {
+        LineAddr::new(word.value() >> self.line_shift)
     }
 
     /// The geometry in effect.
@@ -326,27 +376,32 @@ impl CacheSim {
     /// The set index the mapper assigns to `word`.
     #[must_use]
     pub fn set_of(&self, word: WordAddr) -> u64 {
-        self.mapper.index(word.line(self.geometry.line_words()))
+        self.mapper.index(self.line_of(word))
     }
 
     /// True if the line containing `word` is resident.
     #[must_use]
     pub fn contains(&self, word: WordAddr) -> bool {
-        let line = word.line(self.geometry.line_words());
+        let line = self.line_of(word);
         let set = self.mapper.index(line) as usize;
-        self.sets[set].iter().any(|e| e.line == line)
+        let start = set * self.ways;
+        self.entries[start..start + self.filled[set]]
+            .iter()
+            .any(|e| e.line == line)
     }
 
     /// Accesses `word` on behalf of `stream`, updating residency, the
     /// classification shadow, and counters.
     pub fn access(&mut self, word: WordAddr, stream: StreamId) -> AccessResult {
         self.clock += 1;
-        let line = word.line(self.geometry.line_words());
+        let line = self.line_of(word);
         let set_idx = self.mapper.index(line);
         let verdict = self.shadow.touch(line);
-        let set = &mut self.sets[set_idx as usize];
+        let start = set_idx as usize * self.ways;
+        let set = &mut self.entries[start..start + self.ways];
+        let filled = &mut self.filled[set_idx as usize];
 
-        if let Some(entry) = set.iter_mut().find(|e| e.line == line) {
+        if let Some(entry) = set[..*filled].iter_mut().find(|e| e.line == line) {
             entry.last_use = self.clock;
             entry.stream = stream;
             self.stats.record_hit();
@@ -358,24 +413,22 @@ impl CacheSim {
             };
         }
 
-        // Miss: pick a victim if the set is full.
-        let evicted = if (set.len() as u64) < self.geometry.ways() {
-            None
-        } else {
-            let mut use_order: Vec<usize> = (0..set.len()).collect();
-            use_order.sort_by_key(|&i| set[i].last_use);
-            let mut fill_order: Vec<usize> = (0..set.len()).collect();
-            fill_order.sort_by_key(|&i| set[i].filled_at);
-            let victim = self.policy.victim(&use_order, &fill_order, &mut self.rng);
-            Some(set.swap_remove(victim))
-        };
-
-        set.push(Entry {
+        // Miss: fill a free way, or replace a victim if the set is full.
+        let fresh = Entry {
             line,
             stream,
             last_use: self.clock,
             filled_at: self.clock,
-        });
+        };
+        let evicted = if *filled < self.ways {
+            set[*filled] = fresh;
+            *filled += 1;
+            None
+        } else {
+            let stamps = set.iter().map(|e| (e.last_use, e.filled_at));
+            let victim = self.policy.victim(stamps, &mut self.rng, &mut self.ranks);
+            Some(std::mem::replace(&mut set[victim], fresh))
+        };
 
         let kind = match verdict {
             ShadowVerdict::ColdMiss => MissKind::Compulsory,
@@ -490,14 +543,14 @@ impl CacheSim {
         self.stats().conflict_misses()
     }
 
-    /// Empties the cache and clears counters.
+    /// Empties the cache, clears counters and reseeds the Random policy,
+    /// so a reset cache behaves exactly like a freshly built one.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.shadow = ShadowCache::new(self.geometry.total_lines());
+        self.filled.fill(0);
+        self.shadow.clear();
         self.stats = CacheStats::default();
         self.clock = 0;
+        self.rng = StdRng::seed_from_u64(RNG_SEED);
     }
 }
 
@@ -558,6 +611,10 @@ mod tests {
             CacheConfigError::BadMersenneExponent { exponent: 11 },
             CacheConfigError::ZeroSize,
             CacheConfigError::TooManySets { sets: 1 << 61 },
+            CacheConfigError::TooManyLines {
+                sets: 1,
+                ways: 1 << 40,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -706,6 +763,39 @@ mod tests {
         c.reset();
         assert_eq!(c.stats(), CacheStats::default());
         assert!(!c.contains(WordAddr::new(1)));
+    }
+
+    #[test]
+    fn reset_replays_random_replacement_like_a_fresh_cache() {
+        // Eight lines cycling through one 4-way set: every miss past the
+        // fourth draws a Random victim, so the replay only matches if
+        // reset() restores the generator's seed.
+        let trace: Vec<u64> = (0..200u64).map(|i| (i * 5 % 8) * 16).collect();
+        let run = |c: &mut CacheSim| -> Vec<AccessResult> {
+            trace
+                .iter()
+                .map(|&w| c.access(WordAddr::new(w), s0()))
+                .collect()
+        };
+        let build = || CacheSim::set_associative(16, 4, 1, ReplacementPolicy::Random).unwrap();
+        let mut used = build();
+        let first = run(&mut used);
+        used.reset();
+        assert_eq!(run(&mut used), first);
+        assert_eq!(run(&mut build()), first);
+        assert!(first.iter().any(|r| r.evicted.is_some()));
+    }
+
+    #[test]
+    fn line_allocation_is_bounded() {
+        assert!(matches!(
+            CacheSim::fully_associative(1 << 40, 1, ReplacementPolicy::Lru),
+            Err(CacheConfigError::TooManyLines { sets: 1, .. })
+        ));
+        assert!(matches!(
+            CacheSim::set_associative(1 << 40, 1 << 30, 1, ReplacementPolicy::Lru),
+            Err(CacheConfigError::TooManyLines { sets: 1024, .. })
+        ));
     }
 
     #[test]

@@ -19,6 +19,13 @@ run 1200 cargo build --release --workspace --all-targets
 
 run 1200 cargo test -q --workspace
 
+# Differential contract: the flat CacheSim against the previous
+# simulator, kept only as a test oracle, on 2000 random traces (the
+# property test's default is 64), each replayed on every constructor,
+# replacement policy and line size. Release mode keeps it to seconds.
+run 600 env PROPTEST_CASES=2000 cargo test -q --release -p vcache-cache --lib \
+    flat_simulator_matches_reference
+
 # Flake gate: two tests that once failed intermittently (a fleet shard
 # orphaned by a late route failure; a torn-snapshot check that could
 # stop its writers before any ran) must pass 20 runs out of 20, so a
